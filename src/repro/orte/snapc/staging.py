@@ -24,12 +24,12 @@ request blocks — *before* the application is disturbed — until a slot
 frees up.
 
 The coordinator also owns the incremental-checkpoint planning state:
-which interval the next delta should diff against, the base-chain of
-global directories a delta interval depends on, full-image cadence
-(``snapc_full_interval_every``), and chain-length compaction
-(``snapc_full_max_chain`` — when a chain would grow past the bound the
-newest interval is rewritten as a full image on stable storage during
-its commit, resetting the chain without touching the application).
+which interval the next delta should diff against and the full-image
+cadence (``snapc_full_interval_every``).  Deltas are planned only for
+intervals that stage through the content-addressed store: the ranks
+write just their changed chunks, the store already holds the rest, and
+the committed rank manifests list every digest — so each committed
+interval restarts on its own, with no chain of earlier directories.
 """
 
 from __future__ import annotations
@@ -42,7 +42,6 @@ from repro.orte.job import JobState
 from repro.orte.snapc.admission import StagingAdmission
 from repro.simenv.kernel import Delay, SimGen, WaitEvent
 from repro.snapshot import (
-    IMAGE_FILE,
     LOCAL_META,
     STAGE_COMMITTED,
     STAGE_FAILED,
@@ -81,10 +80,6 @@ class StagingRecord:
     meta: GlobalSnapshotMeta
     #: "full" or "delta" (what the ranks were asked to write)
     kind: str
-    #: global snapshot dirs this interval depends on (oldest first)
-    base_chain: list[str]
-    #: rewrite this interval as a full image during commit
-    compact: bool
     #: FILEM work: (node_name, local_src_dir, stable_dst_dir); empty
     #: when snapshots were written directly to stable storage
     gather_entries: list[tuple[str, str, str]]
@@ -119,14 +114,10 @@ class _JobStaging:
     inflight: int = 0
     worker_started: bool = False
     records: dict[int, StagingRecord] = field(default_factory=dict)
-    #: global dirs whose staging failed — anything chained on them is doomed
-    failed_dirs: set[str] = field(default_factory=set)
     #: next checkpoint must be a full image (set after a staging failure)
     force_full: bool = False
     #: delta intervals dispatched since the last full one
     since_full: int = 0
-    #: global dirs since the last full interval, oldest (the full) first
-    chain_dirs: list[str] = field(default_factory=list)
     #: last interval whose local snapshots were successfully written
     last_interval: int | None = None
     #: the job failed; queued and in-flight intervals must not commit
@@ -143,7 +134,6 @@ class StagingCoordinator:
         self.depth = max(1, params.get_int("snapc_full_stage_depth", 2))
         self.retries = max(0, params.get_int("snapc_full_stage_retries", 1))
         self.every = max(1, params.get_int("snapc_full_interval_every", 1))
-        self.max_chain = max(1, params.get_int("snapc_full_max_chain", 4))
         #: stage intervals through the content-addressed store
         #: (opt-in; needs a FILEM component with supports_cas)
         self.cas_enabled = params.get_bool("snapc_full_cas", False)
@@ -220,31 +210,26 @@ class StagingCoordinator:
 
     # -- incremental planning ------------------------------------------------
 
-    def plan_interval(self, jobid: int) -> dict:
+    def plan_interval(self, jobid: int, cas: bool) -> dict:
         """Decide full vs delta for the next interval (no state change).
 
-        Returns ``{"kind", "base_interval", "base_chain", "compact"}``.
+        A delta is planned only when the interval stages through the
+        content-addressed store (*cas*); every other interval is a full
+        image.  Returns ``{"kind", "base_interval"}``.
         """
         st = self._state(jobid)
         incremental = (
-            self.every > 1
+            cas
+            and self.every > 1
             and st.last_interval is not None
             and not st.force_full
             and st.since_full < self.every - 1
-            and bool(st.chain_dirs)
         )
         if not incremental:
-            return {
-                "kind": chunkstore.KIND_FULL,
-                "base_interval": None,
-                "base_chain": [],
-                "compact": False,
-            }
+            return {"kind": chunkstore.KIND_FULL, "base_interval": None}
         return {
             "kind": chunkstore.KIND_DELTA,
             "base_interval": st.last_interval,
-            "base_chain": list(st.chain_dirs),
-            "compact": len(st.chain_dirs) + 1 > self.max_chain,
         }
 
     # -- durable state -------------------------------------------------------
@@ -268,8 +253,6 @@ class StagingCoordinator:
                 "interval": record.interval,
                 "path": record.ref.path,
                 "kind": record.kind,
-                "base_chain": list(record.base_chain),
-                "compact": record.compact,
                 "gather_entries": [list(e) for e in record.gather_entries],
                 "cas": record.cas,
                 "terminate": record.terminate,
@@ -290,13 +273,11 @@ class StagingCoordinator:
         st = self._state(record.jobid)
         st.records[record.interval] = record
         st.last_interval = record.interval
-        if record.kind == chunkstore.KIND_FULL or record.compact:
+        if record.kind == chunkstore.KIND_FULL:
             st.since_full = 0
-            st.chain_dirs = [record.ref.path]
             st.force_full = False
         else:
             st.since_full += 1
-            st.chain_dirs.append(record.ref.path)
         self._persist_record(record)
         st.queue.put(record)
         if not st.worker_started:
@@ -328,7 +309,7 @@ class StagingCoordinator:
             ok, record = st.queue.try_get()
             if not ok:
                 break
-            self._abort_record(st, record)
+            self._abort_record(record)
             st.inflight = max(0, st.inflight - 1)
             self._fire_slot(st)
         # A dead job must not sit on the universe's staging capacity:
@@ -339,7 +320,7 @@ class StagingCoordinator:
 
     _ABORT_ERROR = "staging aborted: job failed"
 
-    def _abort_record(self, st: _JobStaging, record: StagingRecord) -> None:
+    def _abort_record(self, record: StagingRecord) -> None:
         record.meta.staging = {
             "state": STAGE_FAILED,
             "committed_sim_time": None,
@@ -347,7 +328,6 @@ class StagingCoordinator:
         }
         record.state = STAGE_FAILED
         record.error = self._ABORT_ERROR
-        st.failed_dirs.add(record.ref.path)
         self._persist_record(record)
         if not record.done.fired:
             record.done.fire(record.state)
@@ -431,13 +411,7 @@ class StagingCoordinator:
         except (VFSError, NetworkError) as exc:
             error = f"staging metadata write failed: {exc}"
 
-        if error is not None:
-            pass
-        elif not record.cas and any(
-            d in st.failed_dirs for d in record.base_chain
-        ):
-            error = "a base interval of this delta failed to stage"
-        else:
+        if error is None:
             # The transfer itself runs under the universe-level
             # admission gate: a token bounds concurrent stagings across
             # all jobs, and the moved bytes are charged to the shared
@@ -445,10 +419,6 @@ class StagingCoordinator:
             yield from self.admission.acquire(record.jobid)
             try:
                 if record.cas:
-                    # A failed base interval does not doom a CAS delta:
-                    # its chunks may already sit in the store (shipped
-                    # by another rank, interval, or job); the
-                    # negotiation decides.
                     error = yield from self._stage_cas(record)
                 else:
                     error = yield from self._gather_with_retry(record)
@@ -456,15 +426,6 @@ class StagingCoordinator:
                     yield from self.admission.throttle(record.bytes_moved)
             finally:
                 self.admission.release(record.jobid)
-
-        if error is None and record.compact:
-            if record.cas:
-                self._compact_by_reference(record)
-            else:
-                try:
-                    yield from self._compact(record)
-                except (VFSError, RestartError) as exc:
-                    error = f"compaction failed: {exc}"
 
         if error is None:
             record.meta.staging = {
@@ -506,7 +467,6 @@ class StagingCoordinator:
                 pass  # stable storage itself is down; the record still knows
             record.state = STAGE_FAILED
             record.error = error
-            st.failed_dirs.add(record.ref.path)
             st.force_full = True
             self._persist_record(record)
             log.warning(
@@ -554,58 +514,7 @@ class StagingCoordinator:
             )
         return last_error or "gather failed"
 
-    def _compact(self, record: StagingRecord) -> SimGen:
-        """Rewrite a committed-to-be delta interval as a full image.
-
-        Runs entirely on stable storage: reconstruct each rank's image
-        from its chain, write ``image.pkl`` plus a full manifest into
-        the interval's own directory, and drop the chain from the
-        metadata.  Restart of this interval then needs no other
-        directory, bounding chain length at ``snapc_full_max_chain``.
-        """
-        stable = self.hnp.universe.cluster.stable_fs
-        chain = [d for d in record.base_chain if d != record.ref.path]
-        chain.append(record.ref.path)
-        for rank in sorted(record.meta.locals):
-            dirs = [vpath.join(d, f"rank{rank}") for d in chain]
-            blob, manifest = yield from chunkstore.reconstruct_chain(
-                stable, dirs, IMAGE_FILE
-            )
-            dst = record.ref.local_dir(rank)
-            yield from stable.write(vpath.join(dst, IMAGE_FILE), blob)
-            if manifest is not None:
-                yield from chunkstore.write_full_manifest(
-                    stable, dst, manifest.chunk_bytes, len(blob),
-                    manifest.hashes, record.interval,
-                )
-        record.kind = chunkstore.KIND_FULL
-        record.meta.kind = chunkstore.KIND_FULL
-        record.meta.base_interval = None
-        record.meta.base_chain = []
-        log.info(
-            "job %d interval %d compacted to a full image (chain was %d long)",
-            record.jobid, record.interval, len(chain),
-        )
-        return None
-
     # -- content-addressed staging (offer/ship) ----------------------------------
-
-    def _compact_by_reference(self, record: StagingRecord) -> None:
-        """CAS compaction: rewrite references, move no bytes.
-
-        A CAS interval's rank manifests already list *every* chunk
-        digest and the bytes live in the store, so "rewriting as a full
-        image" is a pure metadata change — the chain resets without a
-        single chunk being copied.
-        """
-        record.kind = chunkstore.KIND_FULL
-        record.meta.kind = chunkstore.KIND_FULL
-        record.meta.base_interval = None
-        record.meta.base_chain = []
-        log.info(
-            "job %d interval %d compacted by reference (no bytes moved)",
-            record.jobid, record.interval,
-        )
 
     def _stage_cas(self, record: StagingRecord) -> SimGen:
         """Negotiate with the store, ship only missing chunks; returns
@@ -667,8 +576,8 @@ class StagingCoordinator:
                     unsourced += 1
             if unsourced:
                 # A delta's clean chunks have no local bytes; they must
-                # already be in the store from the base interval.  If
-                # they are not, no amount of retrying helps.
+                # already be in the store from the base interval (which
+                # may have failed to stage).  No retry can help.
                 return (
                     f"{unsourced} chunk(s) absent from the store with no "
                     "local source"
@@ -767,7 +676,7 @@ class StagingCoordinator:
             jobid = int(value["jobid"])
             interval = int(value["interval"])
             st = self._state(jobid)
-            # Delta-chain planning state died with the old HNP; the
+            # Incremental planning state died with the old HNP; the
             # next checkpoint of every rehydrated job is forced full.
             st.force_full = True
             if st.last_interval is None or interval > st.last_interval:
@@ -811,8 +720,6 @@ class StagingCoordinator:
             ref=ref,
             meta=self._stub_meta(st.jobid, interval),
             kind=value.get("kind", "full"),
-            base_chain=list(value.get("base_chain", [])),
-            compact=bool(value.get("compact", False)),
             gather_entries=[],
             terminate=bool(value.get("terminate", False)),
             done=done,
@@ -824,9 +731,7 @@ class StagingCoordinator:
         )
         done.fire(record.state)
         st.records[interval] = record
-        if record.state == STAGE_FAILED:
-            st.failed_dirs.add(ref.path)
-        elif job is not None and all(
+        if record.state == STAGE_COMMITTED and job is not None and all(
             s.path != ref.path for s in job.snapshots
         ):
             # Records arrive in interval order, so the newest committed
@@ -852,8 +757,6 @@ class StagingCoordinator:
             ref=ref,
             meta=meta,
             kind=value.get("kind", meta.kind),
-            base_chain=list(value.get("base_chain", [])),
-            compact=bool(value.get("compact", False)),
             gather_entries=[
                 tuple(e) for e in value.get("gather_entries", [])
             ],
@@ -908,8 +811,6 @@ class StagingCoordinator:
             ref=ref,
             meta=meta,
             kind=value.get("kind", "full"),
-            base_chain=list(value.get("base_chain", [])),
-            compact=bool(value.get("compact", False)),
             gather_entries=[],
             terminate=bool(value.get("terminate", False)),
             done=done,
@@ -920,7 +821,6 @@ class StagingCoordinator:
         )
         done.fire(record.state)
         st.records[interval] = record
-        st.failed_dirs.add(ref.path)
         st.force_full = True
         self._persist_record(record)
         try:

@@ -260,6 +260,9 @@ class FaultCampaign:
         eligible = self._eligible_nodes()
         applicable = self._applicable(eligible)
         if not applicable:
+            # Nothing can fire right now (e.g. an HNP crash mid-
+            # election); try again at the next arrival.
+            self._schedule()
             return
         total = sum(f.weight for f in applicable)
         draw = self._rng().uniform(0.0, total)
@@ -410,11 +413,14 @@ def run_campaign(
         # campaign timers the final drain happened to process.
         final = yield from follow_lineage(universe, job)
         marks["settled_at"] = universe.kernel.now
+        # Disarm now: no fault may land after the lineage settled, and
+        # a campaign whose faults never become applicable again would
+        # otherwise keep re-arming (and the kernel running) forever.
+        campaign.stop()
         return final
 
     thread = universe.kernel.spawn(tracked(), name=f"campaign-job{job.jobid}")
     universe.kernel.run_until_complete(thread)
     makespan = marks.get("settled_at", universe.kernel.now)
-    campaign.stop()
     _drain_background(universe)
     return build_campaign_report(universe, job, campaign, makespan)

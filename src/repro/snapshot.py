@@ -158,13 +158,11 @@ class GlobalSnapshotMeta:
     mca_params: dict = field(default_factory=dict)
     #: rank -> {"path": str, "node": str, "crs": str, "os_tag": str}
     locals: dict = field(default_factory=dict)
-    #: "full" or "delta" — delta intervals carry only changed chunks
+    #: "full" or "delta" — in a delta interval the ranks wrote only
+    #: changed chunks and the content-addressed store supplied the rest
     kind: str = "full"
-    #: previous interval in the delta chain (None for full intervals)
+    #: interval the ranks' deltas diffed against (None for full intervals)
     base_interval: int | None = None
-    #: global snapshot dirs this interval depends on, oldest full first
-    #: (empty for full intervals)
-    base_chain: list = field(default_factory=list)
     #: True when the interval's chunk bytes live in the content-addressed
     #: store and the rank directories hold only manifests + metadata
     cas: bool = False

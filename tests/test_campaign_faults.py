@@ -227,6 +227,43 @@ class TestMixedFaultCampaign:
             FaultSpec("cosmic_ray")
 
 
+class TestCampaignRearm:
+    FAILOVER = dict(
+        RECOVER, orte_hnp_failover="1", snapc_full_checkpoint_every="0.15"
+    )
+
+    def test_inapplicable_draw_rearms(self):
+        """An arrival with no applicable fault (an HNP crash while the
+        previous failover is still electing) re-arms the campaign
+        instead of ending it: all three HNP crashes land."""
+        universe = make_universe(8, params=self.FAILOVER)
+        job = ompi_run(
+            universe, "churn", 4,
+            args={"loops": 300, "compute_s": 0.01, "state_bytes": 1 << 20},
+            wait=False,
+        )
+        spec = CampaignSpec(
+            mtbf_s=0.3, start_at=0.3, max_failures=3,
+            faults=(FaultSpec("hnp_crash"),),
+        )
+        report = run_campaign(universe, job, spec)
+        assert report.completed, report.to_dict()
+        assert report.fault_counts == {"hnp_crash": 3}
+        assert universe.failovers == 3
+        assert all(f["at"] <= report.makespan_s for f in report.failures)
+
+    def test_never_applicable_campaign_stops_at_settle(self):
+        """A fault kind that can never apply (HNP crash without
+        failover) keeps re-arming only until the lineage settles."""
+        universe = make_universe(4, params=RECOVER)
+        job = ompi_run(universe, "churn", 2, args=CHURN_TINY, wait=False)
+        spec = CampaignSpec(
+            mtbf_s=0.05, max_failures=1, faults=(FaultSpec("hnp_crash"),)
+        )
+        report = run_campaign(universe, job, spec)
+        assert report.completed and report.failures == []
+
+
 class TestCommittedCheckpointScoping:
     def test_committed_count_is_lineage_scoped(self):
         """A bystander job's committed intervals must not inflate the

@@ -162,9 +162,7 @@ class TestManifestEdgeCases:
             payloads = yield from chunkstore.load_chunks(
                 fs, "/s/1", manifest, [0], "image.pkl"
             )
-            blob, _ = yield from chunkstore.reconstruct_chain(
-                fs, ["/s/1"], "image.pkl"
-            )
+            blob = yield from chunkstore.read_image(fs, "/s/1", "image.pkl")
             return payloads, blob
 
         payloads, blob = run_gen(kernel, main())
@@ -185,76 +183,6 @@ class TestManifestEdgeCases:
     def test_manifest_garbage_json_raises_snapshot_error(self):
         with pytest.raises(SnapshotError):
             chunkstore.ChunkManifest.from_json(b"not json at all")
-
-
-class TestChunkSizeChangeAcrossChain:
-    """Regression: ``reconstruct_chain`` used the *newest* manifest's
-    chunk geometry to split the base image, corrupting any chain whose
-    ``crs_base_chunk_bytes`` changed between intervals."""
-
-    @staticmethod
-    def _hashes(blob, chunk_bytes):
-        return [
-            chunkstore.hash_chunk(c)
-            for c in chunkstore.split_chunks(blob, chunk_bytes)
-        ]
-
-    def test_delta_with_different_chunk_bytes_mid_chain(self, kernel):
-        fs = FS(kernel, "t", bandwidth_Bps=1e8, op_latency_s=0.001)
-        blob_a = bytes(range(20))
-        blob_b = blob_a[:5] + b"\xff" + blob_a[6:]
-        blob_c = blob_b[:17] + b"\xee" + blob_b[18:]
-
-        def build():
-            # interval 1: full image at 4-byte chunks
-            yield from fs.write("/c/1/image.pkl", blob_a)
-            yield from chunkstore.write_full_manifest(
-                fs, "/c/1", 4, len(blob_a), self._hashes(blob_a, 4), 1
-            )
-            # interval 2: delta at the same geometry
-            chunks_b = chunkstore.split_chunks(blob_b, 4)
-            hashes_b = self._hashes(blob_b, 4)
-            dirty = chunkstore.diff_chunks(hashes_b, self._hashes(blob_a, 4))
-            yield from chunkstore.write_delta(
-                fs, "/c/2", chunks_b, hashes_b, dirty, 4, 2, 1
-            )
-            # interval 3: the operator changed crs_base_chunk_bytes —
-            # this delta's indices are relative to 3-byte chunks
-            chunks_c = chunkstore.split_chunks(blob_c, 3)
-            hashes_c = self._hashes(blob_c, 3)
-            dirty = chunkstore.diff_chunks(hashes_c, self._hashes(blob_b, 3))
-            yield from chunkstore.write_delta(
-                fs, "/c/3", chunks_c, hashes_c, dirty, 3, 3, 2
-            )
-            blob, manifest = yield from chunkstore.reconstruct_chain(
-                fs, ["/c/1", "/c/2", "/c/3"], "image.pkl"
-            )
-            return blob, manifest
-
-        blob, manifest = run_gen(kernel, build())
-        assert blob == blob_c
-        assert manifest.chunk_bytes == 3
-
-    def test_legacy_base_adopts_first_delta_geometry(self, kernel):
-        fs = FS(kernel, "t", bandwidth_Bps=1e8, op_latency_s=0.001)
-        blob_a = bytes(range(20))
-        blob_b = blob_a[:5] + b"\xff" + blob_a[6:]
-
-        def build():
-            # pre-incremental layout: image only, no chunks.json
-            yield from fs.write("/c/1/image.pkl", blob_a)
-            chunks_b = chunkstore.split_chunks(blob_b, 3)
-            hashes_b = self._hashes(blob_b, 3)
-            dirty = chunkstore.diff_chunks(hashes_b, self._hashes(blob_a, 3))
-            yield from chunkstore.write_delta(
-                fs, "/c/2", chunks_b, hashes_b, dirty, 3, 2, 1
-            )
-            blob, _ = yield from chunkstore.reconstruct_chain(
-                fs, ["/c/1", "/c/2"], "image.pkl"
-            )
-            return blob
-
-        assert run_gen(kernel, build()) == blob_b
 
 
 class TestCASStaging:
@@ -311,8 +239,7 @@ class TestCASStaging:
             read_global_meta(universe.cluster.stable_fs, ref),
         )
         assert meta.cas is True
-        # CAS intervals are self-contained: restart never walks a chain
-        assert meta.base_chain == []
+        assert meta.kind == "full" and meta.base_interval is None
 
     def test_shared_filem_falls_back_to_plain_staging(self):
         # The shared-FS FILEM writes directly to stable storage; it
@@ -429,9 +356,10 @@ class TestCASRestart:
 
 
 class TestSkipSetWalkBack:
-    def test_pick_checks_delta_deps_against_skip_set(self):
-        """A delta interval whose base failed a restart this episode
-        must not be picked — its chain runs through a known-bad ref."""
+    def test_pick_walks_back_past_skip_set(self):
+        """Refs that failed a restart this episode are skipped, and
+        skipping one never disqualifies another: every committed
+        interval restarts on its own."""
         universe = make_universe(
             4, params={"snapc_full_interval_every": "3"}
         )
@@ -446,22 +374,19 @@ class TestSkipSetWalkBack:
             universe.kernel,
             read_global_meta(universe.cluster.stable_fs, ref2),
         )
-        assert m2.kind == "delta" and ref1.path in m2.base_chain
+        # without CAS staging the cadence never produces a delta
+        assert m2.kind == "full"
 
         errmgr = universe.hnp.errmgr
-        picked = run_gen(universe.kernel, errmgr._pick_snapshot(job))
-        assert picked is not None and picked[0].path == ref2.path
-        # skipping the newest ref walks back to the base
-        picked = run_gen(
-            universe.kernel, errmgr._pick_snapshot(job, {ref2.path})
-        )
-        assert picked is not None and picked[0].path == ref1.path
-        # skipping the *base* poisons every chain through it: the delta
-        # interval is rejected even though its own ref is not skipped
-        picked = run_gen(
-            universe.kernel, errmgr._pick_snapshot(job, {ref1.path})
-        )
-        assert picked is None
+
+        def pick(skip):
+            picked = run_gen(universe.kernel, errmgr._pick_snapshot(job, skip))
+            return None if picked is None else picked[0].path
+
+        assert pick(set()) == ref2.path
+        assert pick({ref2.path}) == ref1.path
+        assert pick({ref1.path}) == ref2.path
+        assert pick({ref1.path, ref2.path}) is None
 
 
 class TestCASGarbageCollection:

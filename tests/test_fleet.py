@@ -4,9 +4,18 @@ meta-report aggregation (KernelStats.merge)."""
 
 from __future__ import annotations
 
+import signal
+
 import pytest
 
-from repro.fleet import FleetRunner, FleetSpec, GridCell, derive_cell_seed, run_cell
+from repro.fleet import (
+    FleetRunner,
+    FleetSpec,
+    FleetTimeout,
+    GridCell,
+    derive_cell_seed,
+    run_cell,
+)
 from repro.fleet.presets import demo_fleet
 from repro.simenv.campaign import CampaignSpec
 from repro.simenv.kernel import KernelStats
@@ -111,6 +120,39 @@ class TestRunCell:
             timeout_s=0.2,
         )
         out = run_cell(spec.payload(spec.cells()[0]))
+        assert out["ok"] is False
+        assert out["error"].startswith("timeout:")
+
+    def test_watchdog_survives_a_swallowed_alarm(self, monkeypatch):
+        """The first alarm's FleetTimeout is lost, as when it lands in
+        a collected generator's ``GeneratorExit`` cleanup; the watchdog
+        fires again and the cell still times out."""
+        real_signal = signal.signal
+        swallowed = []
+
+        def install(signum, handler):
+            if signum != signal.SIGALRM or not callable(handler):
+                return real_signal(signum, handler)
+
+            def first_alarm_lost(num, frame):
+                if swallowed:
+                    return handler(num, frame)
+                try:
+                    handler(num, frame)
+                except FleetTimeout:
+                    swallowed.append(num)
+
+            return real_signal(signum, first_alarm_lost)
+
+        monkeypatch.setattr(signal, "signal", install)
+        spec = small_spec(
+            app_args={
+                "loops": 100_000, "compute_s": 0.001, "state_bytes": 1 << 10
+            },
+            timeout_s=0.2,
+        )
+        out = run_cell(spec.payload(spec.cells()[0]))
+        assert swallowed == [signal.SIGALRM]
         assert out["ok"] is False
         assert out["error"].startswith("timeout:")
 

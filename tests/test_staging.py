@@ -4,8 +4,9 @@ Covers the background staging coordinator (Figure 1-F made true):
 checkpoint replies return at D/E while the gather/cleanup/commit run in
 a per-job worker; backpressure bounds the pipeline; restart waits for
 commit; a node death mid-stage fails the interval without touching the
-application; and delta intervals restart through their base-chain,
-with compaction bounding chain length.
+application; and incremental (delta) intervals staged through the
+content-addressed store restart on their own, while every other
+interval is a full image.
 """
 
 import pytest
@@ -246,15 +247,34 @@ class TestStageFailure:
             ompi_restart(universe, ref)
 
 
-class TestIncrementalChain:
+def write_bytes_by_interval(universe) -> dict[int, int]:
+    """Local ``crs.write`` bytes per interval, summed over the ranks."""
+    trace = universe.kernel.tracer.to_dict()
+    writes = filter_spans(trace, name="crs.write")
+    out = {}
+    for ckpt in filter_spans(trace, name="snapc.checkpoint"):
+        t0, t1 = ckpt["t0"], ckpt["t0"] + ckpt["dur"]
+        out[ckpt["attrs"]["interval"]] = sum(
+            w["attrs"]["bytes"] for w in writes if t0 <= w["t0"] <= t1
+        )
+    return out
+
+
+class TestCASIncremental:
+    """``snapc_full_interval_every`` on the content-addressed path: the
+    ranks write only changed chunks, the store supplies the rest, and
+    every committed interval restarts on its own."""
+
     ARGS = dict(CHURN, loops=100)
     PARAMS = {
         "obs_trace_enabled": "1",
-        "snapc_full_interval_every": "99",
-        "snapc_full_max_chain": "3",
+        "filem": "rsh",
+        "snapc_full_cas": "1",
+        "snapc_full_interval_every": "3",
     }
 
-    def take_four(self):
+    @pytest.fixture(scope="class")
+    def four(self):
         universe = make_universe(4, params=dict(self.PARAMS))
         job = ompi_run(universe, "churn", 4, args=self.ARGS, wait=False)
         handles = [
@@ -265,52 +285,77 @@ class TestIncrementalChain:
         assert job.state.value == "finished"
         for handle in handles:
             assert handle.result()["ok"], handle.result()["error"]
-        return universe, job, handles
+        return universe, [checkpoint_ref(h) for h in handles]
 
-    def test_chain_kinds_and_compaction(self):
-        universe, job, handles = self.take_four()
-        metas = [
-            read_meta(universe, checkpoint_ref(h)) for h in handles
-        ]
-        # 1 full, 2-3 deltas; 4 would push the chain past max_chain=3,
-        # so it was compacted back to a full image during its commit.
+    def test_cas_kinds_and_delta_write_bytes(self, four):
+        universe, refs = four
+        metas = [read_meta(universe, ref) for ref in refs]
+        # every 3rd interval is full: full, delta, delta, full again
         assert [m.kind for m in metas] == ["full", "delta", "delta", "full"]
-        assert metas[1].base_interval == 1
-        assert metas[2].base_interval == 2
-        assert len(metas[1].base_chain) == 1
-        assert len(metas[2].base_chain) == 2
-        assert metas[3].base_chain == []
-        assert metas[3].base_interval is None
-        # Compacted interval carries a standalone image per rank.
+        assert all(m.cas for m in metas)
+        assert [m.base_interval for m in metas] == [None, 1, 2, None]
+        records = universe.hnp.snapc.stager(universe.hnp).job_records(
+            metas[0].jobid
+        )
+        assert [r.state for r in records] == [STAGE_COMMITTED] * 4
+        # A delta writes only its dirty chunks locally: a small
+        # fraction of the full interval's image bytes.
+        written = write_bytes_by_interval(universe)
+        for interval in (2, 3):
+            assert written[interval] < 0.5 * written[1]
+        # Restart needs no other directory: each rank directory holds a
+        # manifest listing every chunk, and no image of its own.
         stable = universe.cluster.stable_fs
-        ref4 = checkpoint_ref(handles[3])
-        for rank in range(4):
-            assert stable.exists(f"{ref4.local_dir(rank)}/image.pkl")
-        # Deltas move a small fraction of the full interval's bytes.
-        stages = stage_spans(universe)
-        full_bytes = stages[0]["attrs"]["bytes"]
-        for delta in stages[1:3]:
-            assert delta["attrs"]["bytes"] < 0.5 * full_bytes
+        for ref in refs:
+            assert not stable.exists(f"{ref.local_dir(0)}/image.pkl")
 
-    def test_restart_through_base_plus_two_deltas(self):
+    def test_restart_from_every_interval(self, four):
+        universe, refs = four
         expected = churn_baseline(4, self.ARGS)
-        universe, job, handles = self.take_four()
-        # Interval 3 = full base + 2 delta overlays.
-        new_job = ompi_restart(universe, checkpoint_ref(handles[2]))
+        for ref in refs:
+            new_job = ompi_restart(universe, ref)
+            assert new_job.state.value == "finished", ref.path
+            assert new_job.results == expected, ref.path
+
+    def test_failed_cas_stage_forces_next_interval_full(self):
+        """A delta interval whose staging fails forces the next
+        interval to a full image, and that interval restarts."""
+        expected = churn_baseline(4, self.ARGS)
+        universe = make_universe(4, params=dict(self.PARAMS))
+        job = ompi_run(universe, "churn", 4, args=self.ARGS, wait=False)
+        handles = [
+            ompi_checkpoint(universe, job.jobid, at=at, wait=False)
+            for at in (0.1, 0.3, 0.5)
+        ]
+        # Stable storage refuses writes while interval 2 stages.
+        universe.kernel.call_at(
+            0.3,
+            lambda: universe.cluster.failures.fail_stable_writes_now(0.15),
+        )
+        universe.run_job_to_completion(job)
+        assert job.state.value == "finished"
+        for handle in handles:
+            assert handle.result()["ok"], handle.result()["error"]
+        refs = [checkpoint_ref(h) for h in handles]
+        records = universe.hnp.snapc.stager(universe.hnp).job_records(
+            job.jobid
+        )
+        assert [r.kind for r in records] == ["full", "delta", "full"]
+        assert [r.state for r in records] == [
+            STAGE_COMMITTED, STAGE_FAILED, STAGE_COMMITTED
+        ]
+        assert job.snapshots == [refs[0], refs[2]]
+        new_job = ompi_restart(universe, refs[2])
         assert new_job.state.value == "finished"
         assert new_job.results == expected
 
-    def test_restart_of_compacted_interval(self):
+    @pytest.mark.parametrize("filem,cas", [("rsh", "0"), ("shared", "1")])
+    def test_non_cas_intervals_stay_full(self, filem, cas):
+        """Without CAS staging (off, or a direct-to-stable FILEM that
+        cannot speak the chunk protocol) every interval is a full image
+        on stable storage, whatever the cadence asks."""
         expected = churn_baseline(4, self.ARGS)
-        universe, job, handles = self.take_four()
-        new_job = ompi_restart(universe, checkpoint_ref(handles[3]))
-        assert new_job.state.value == "finished"
-        assert new_job.results == expected
-
-    def test_shared_filem_incremental_restart(self):
-        """Direct-to-stable snapshots restart through their chain too."""
-        expected = churn_baseline(4, self.ARGS)
-        params = dict(self.PARAMS, filem="shared")
+        params = dict(self.PARAMS, filem=filem, snapc_full_cas=cas)
         universe = make_universe(4, params=params)
         job = ompi_run(universe, "churn", 4, args=self.ARGS, wait=False)
         handles = [
@@ -320,9 +365,14 @@ class TestIncrementalChain:
         universe.run_job_to_completion(job)
         for handle in handles:
             assert handle.result()["ok"], handle.result()["error"]
-        meta = read_meta(universe, checkpoint_ref(handles[1]))
-        assert meta.kind == "delta"
-        new_job = ompi_restart(universe, checkpoint_ref(handles[1]))
+        refs = [checkpoint_ref(h) for h in handles]
+        stable = universe.cluster.stable_fs
+        for ref in refs:
+            meta = read_meta(universe, ref)
+            assert meta.kind == "full" and not meta.cas
+            for rank in range(4):
+                assert stable.exists(f"{ref.local_dir(rank)}/image.pkl")
+        new_job = ompi_restart(universe, refs[1])
         assert new_job.state.value == "finished"
         assert new_job.results == expected
 
