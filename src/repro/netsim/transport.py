@@ -1,11 +1,15 @@
 """Reliable, in-order datagram transport over a switched fabric.
 
-Endpoints are ``(node_name, port)`` pairs.  ``Fabric.send`` is a
-blocking (generator) operation modelling sender-side serialization;
-delivery happens ``latency`` later into the destination endpoint's
-mailbox.  In-order delivery between any endpoint pair is guaranteed by
-construction (single event queue + per-NIC serialization + fixed
-latency).
+Endpoints are ``(node_name, port)`` pairs.  A message occupies the
+sender's NIC for its serialization delay and lands in the destination
+endpoint's mailbox ``latency`` later.  ``Fabric.send`` is a blocking
+(generator) send that returns once the message is on the wire;
+``Fabric.post`` reserves the NIC at once and calls back from a timer
+when it is, so the MPI data path needs no thread per message.  In-order
+delivery between any endpoint pair is guaranteed by construction
+(single event queue + per-NIC serialization + fixed latency).  A
+message whose sender dies before it is on the wire is dropped; once on
+the wire it is delivered unless its destination is gone.
 
 In-flight accounting (``in_flight``) exists for tests and for the
 fabric-level drain assertions in the CRCP experiments: the MPI-level
@@ -15,8 +19,9 @@ coordinated processes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any
+from dataclasses import dataclass
+from types import MappingProxyType
+from typing import TYPE_CHECKING, Any, Callable, Mapping
 
 from repro.netsim.models import LinkModel
 from repro.netsim.nic import NIC
@@ -39,7 +44,11 @@ class Endpoint:
         return f"{self.node}:{self.port}"
 
 
-@dataclass
+#: metadata of datagrams sent without any (shared, read-only)
+NO_META: Mapping = MappingProxyType({})
+
+
+@dataclass(slots=True)
 class Datagram:
     """One message on the wire."""
 
@@ -47,9 +56,9 @@ class Datagram:
     dst: Endpoint
     payload: Any
     nbytes: int
-    fabric: str = ""
-    send_time: float = 0.0
-    meta: dict = field(default_factory=dict)
+    fabric: str
+    send_time: float
+    meta: Mapping
 
 
 class Fabric:
@@ -97,33 +106,76 @@ class Fabric:
 
     # -- data path ----------------------------------------------------------
 
+    def _launch(
+        self, src: Endpoint, dst: Endpoint, payload: Any, nbytes: int, meta: Mapping
+    ) -> tuple[float, Datagram]:
+        """Reserve the sender's NIC for one message and count it in
+        flight; returns its serialization delay and the datagram."""
+        nic = self.nics.get(src.node)
+        if nic is None:
+            raise NetworkError(f"node {src.node} not on fabric {self.name}")
+        dgram = Datagram(src, dst, payload, nbytes, self.name, self.kernel.now, meta)
+        delay = nic.reserve_tx(nbytes)
+        self.in_flight += 1
+        return delay, dgram
+
+    def _unsent(self) -> None:
+        """The sender died before its message was on the wire."""
+        self.in_flight -= 1
+        self.dropped += 1
+
     def send(
         self,
         src: Endpoint,
         dst: Endpoint,
         payload: Any,
         nbytes: int,
-        meta: dict | None = None,
+        meta: Mapping | None = None,
     ) -> SimGen:
         """Blocking send: returns once the message is serialized onto
         the wire (not once delivered) — eager-protocol semantics."""
-        nic = self.nics.get(src.node)
-        if nic is None:
-            raise NetworkError(f"node {src.node} not on fabric {self.name}")
-        dgram = Datagram(
-            src=src,
-            dst=dst,
-            payload=payload,
-            nbytes=nbytes,
-            fabric=self.name,
-            send_time=self.kernel.now,
-            meta=dict(meta or {}),
+        delay, dgram = self._launch(
+            src, dst, payload, nbytes, NO_META if meta is None else meta
         )
-        delay = nic.reserve_tx(nbytes)
-        self.in_flight += 1
-        yield Delay(delay)
+        on_wire = False
+        try:
+            yield Delay(delay)
+            on_wire = True
+        finally:
+            if not on_wire:  # the sending thread was killed
+                self._unsent()
         self.kernel.call_later(self.model.latency_s, lambda: self._deliver(dgram))
         return dgram
+
+    def post(
+        self,
+        src: Endpoint,
+        dst: Endpoint,
+        payload: Any,
+        nbytes: int,
+        on_wire: Callable[[], None] | None,
+        sender_alive: Callable[[], bool],
+    ) -> None:
+        """Non-blocking send: reserve the NIC now; when the message is
+        on the wire, schedule its delivery and call *on_wire*.
+
+        Same timing as :meth:`send`, without a thread: the wait is one
+        timer.  If ``sender_alive()`` is false by then, the message is
+        dropped and *on_wire* is not called.
+        """
+        delay, dgram = self._launch(src, dst, payload, nbytes, NO_META)
+        kernel = self.kernel
+
+        def wire() -> None:
+            if not sender_alive():
+                self._unsent()
+                return
+            kernel.call_at(kernel.now + self.model.latency_s,
+                           lambda: self._deliver(dgram))
+            if on_wire is not None:
+                on_wire()
+
+        kernel.call_at(kernel.now + delay, wire)
 
     def _deliver(self, dgram: Datagram) -> None:
         self.in_flight -= 1

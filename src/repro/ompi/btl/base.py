@@ -2,7 +2,8 @@
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING
+import dataclasses
+from typing import TYPE_CHECKING, Callable
 
 from repro.core.ft_event import FTState
 from repro.mca.component import Component
@@ -30,6 +31,9 @@ class BTLComponent(Component):
         self.pml: "Ob1PML | None" = None
         self.ep: Endpoint | None = None
         self._pump = None
+        #: peer port name -> its Endpoint (built once, not per message)
+        self._peers: dict[str, Endpoint] = {}
+        self._sender_alive: Callable[[], bool] | None = None
         self.sent_msgs = 0
         self.sent_bytes = 0
 
@@ -47,6 +51,8 @@ class BTLComponent(Component):
     def setup(self, ompi: "OmpiLayer", pml: "Ob1PML") -> None:
         self.ompi = ompi
         self.pml = pml
+        proc = ompi.proc
+        self._sender_alive = lambda: proc.alive
 
     @property
     def fabric(self):
@@ -128,11 +134,28 @@ class BTLComponent(Component):
             return False
         return self.name in ports
 
-    def send_msg(self, peer_card: dict, msg, wire_bytes: int) -> SimGen:
-        if self.ep is None:
+    def send_msg(
+        self,
+        peer_card: dict,
+        msg,
+        wire_bytes: int,
+        on_wire: Callable[[], None] | None,
+    ) -> None:
+        """Post *msg* to the peer; returns at once.
+
+        *on_wire* runs from a kernel timer once the message is
+        serialized onto the wire; it is not called if this process dies
+        first.  Raises :class:`NetworkError` if the endpoint is closed
+        or the local NIC is down.
+        """
+        ep = self.ep
+        if ep is None:
             raise NetworkError(f"BTL {self.name} endpoint is closed")
-        dst = Endpoint(peer_card["node"], peer_card["ports"][self.name])
-        payload = getattr(msg, "payload", None)
+        port = peer_card["ports"][self.name]
+        dst = self._peers.get(port)
+        if dst is None or dst.node != peer_card["node"]:
+            dst = self._peers[port] = Endpoint(peer_card["node"], port)
+        payload = msg.payload
         if payload is not None and wire_bytes >= 4096:
             # Model the DMA/serialization work of moving bytes onto the
             # wire: large buffers are physically copied, so per-message
@@ -140,13 +163,10 @@ class BTLComponent(Component):
             # that amortizes fixed interposition overheads on hardware).
             copied = self._buffer_copy(payload)
             if copied is not payload:
-                import dataclasses
-
                 msg = dataclasses.replace(msg, payload=copied)
-        yield from self.fabric.send(self.ep, dst, msg, wire_bytes)
+        self.fabric.post(ep, dst, msg, wire_bytes, on_wire, self._sender_alive)
         self.sent_msgs += 1
         self.sent_bytes += wire_bytes
-        return None
 
     @staticmethod
     def _buffer_copy(payload):

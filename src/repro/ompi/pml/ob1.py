@@ -10,15 +10,18 @@ Implements the classic Open MPI ob1 design over BTLs:
   lands.
 
 Progress is driven by per-BTL pump threads calling
-:meth:`handle_incoming`; sends run on short-lived helper threads so
-``isend`` returns immediately (MPI semantics).
+:meth:`handle_incoming`.  Sends need no thread: ``isend`` posts its
+first fragment to the BTL and returns (MPI semantics), and each later
+step runs from a callback — the fragment's on-the-wire timer completes
+an eager send; a CTS arrival posts the rendezvous DATA fragment, whose
+on-the-wire timer completes the send.
 
 Checkpoint/restart integration (used by the CRCP ``coord`` component):
 
 * ``enter_drain``/``leave_drain`` — while draining, unmatched RTS
   fragments are CTSed immediately so their payloads land in the
   unexpected queue (the channel must be empty in the global snapshot);
-* ``quiesce_sends`` — wait for every in-flight send helper to finish;
+* ``quiesce_sends`` — wait until every posted send is on the wire;
 * ``capture_state``/``restore_state`` — the PML's part of the process
   image: matching queues, request table, sequence counters.
 """
@@ -64,8 +67,9 @@ class Ob1PML(PMLComponent):
         #: per-(cid, src comm rank) delivery windows (invariant checks)
         self.recv_windows: dict[tuple[int, int], SeqWindow] = {}
         self.next_msg_id = 1
-        #: sender side: msg_id -> event fired by CTS arrival
-        self.pending_cts: dict[int, SimEvent] = {}
+        #: sender side: msg_id -> continuation run on CTS arrival (it
+        #: posts the DATA fragment)
+        self.pending_cts: dict[int, Callable[[], None]] = {}
         #: receiver side: msg_id -> req_id of the matched posted recv
         self.pending_rendezvous: dict[int, int] = {}
         self.active_sends = 0
@@ -95,87 +99,76 @@ class Ob1PML(PMLComponent):
             raise MPIError(f"isend: bad destination rank {dst}")
         if tag < 0:
             raise MPIError(f"isend: negative tag {tag}")
+        world_dst = comm.world_rank(dst)
+        card = self.ompi.peer_card(world_dst)
+        nbytes = nbytes_of(payload)
         req = self.requests.new("send")
         key = (comm.cid, dst)
         seq = self.send_seq.get(key, 0)
         self.send_seq[key] = seq + 1
         if self.send_hook is not None:
-            self.send_hook(comm.world_rank(dst))
+            self.send_hook(world_dst)
         self.active_sends += 1
-        self.ompi.proc.spawn_thread(
-            self._send_thread(req, comm, dst, tag, payload, seq),
-            name=f"ob1-send-{req.id}",
-            daemon=True,
-        )
+        try:
+            if nbytes <= self.eager_limit:
+                msg = MPIMsg(
+                    "eager", comm.cid, comm.rank, dst, tag, seq, nbytes,
+                    payload=copy_payload(payload), src_world=comm.my_world_rank,
+                )
+                self.select_btl(card).send_msg(
+                    card, msg, MSG_HEADER_BYTES + nbytes,
+                    lambda: self._send_done(req, "eager_sent"),
+                )
+            else:
+                self._post_rts(req, comm, dst, tag, seq, nbytes, payload, card)
+        except NetworkError as exc:
+            self._send_failed(req, exc)
         if False:  # pragma: no cover - keeps this a generator function
             yield
         return req.id
 
-    def _send_thread(self, req, comm, dst, tag, payload, seq) -> SimGen:
-        try:
-            nbytes = nbytes_of(payload)
-            card = self.ompi.peer_card(comm.world_rank(dst))
-            if nbytes <= self.eager_limit:
-                msg = MPIMsg(
-                    "eager",
-                    comm.cid,
-                    comm.rank,
-                    dst,
-                    tag,
-                    seq,
-                    nbytes,
-                    payload=copy_payload(payload),
-                    src_world=comm.my_world_rank,
-                )
-                btl = self.select_btl(card)
-                yield from btl.send_msg(card, msg, MSG_HEADER_BYTES + nbytes)
-                self.stats["eager_sent"] += 1
-            else:
-                msg_id = self.next_msg_id
-                self.next_msg_id += 1
-                rts = MPIMsg(
-                    "rts",
-                    comm.cid,
-                    comm.rank,
-                    dst,
-                    tag,
-                    seq,
-                    nbytes,
-                    msg_id=msg_id,
-                    src_world=comm.my_world_rank,
-                )
-                cts_event = self.ompi.kernel.event(f"cts-{msg_id}")
-                self.pending_cts[msg_id] = cts_event
-                btl = self.select_btl(card)
-                yield from btl.send_msg(card, rts, MSG_HEADER_BYTES)
-                yield WaitEvent(cts_event)
-                data = MPIMsg(
-                    "data",
-                    comm.cid,
-                    comm.rank,
-                    dst,
-                    tag,
-                    seq,
-                    nbytes,
-                    payload=payload,
-                    msg_id=msg_id,
-                    src_world=comm.my_world_rank,
-                )
+    def _post_rts(self, req, comm, dst, tag, seq, nbytes, payload, card) -> None:
+        msg_id = self.next_msg_id
+        self.next_msg_id += 1
+        rts = MPIMsg(
+            "rts", comm.cid, comm.rank, dst, tag, seq, nbytes,
+            msg_id=msg_id, src_world=comm.my_world_rank,
+        )
+        self.select_btl(card).send_msg(card, rts, MSG_HEADER_BYTES, None)
+
+        def post_data() -> None:
+            data = MPIMsg(
+                "data", comm.cid, comm.rank, dst, tag, seq, nbytes,
+                payload=payload, msg_id=msg_id, src_world=comm.my_world_rank,
+            )
+            try:
                 # Re-select: the preferred BTL may have been shut down
                 # between RTS and CTS by a concurrent checkpoint.
-                btl = self.select_btl(card)
-                yield from btl.send_msg(card, data, MSG_HEADER_BYTES + nbytes)
-                self.stats["rndv_sent"] += 1
-            req.complete_ok(None)
-        except NetworkError as exc:
-            req.complete_error(f"send failed: {exc}")
-        finally:
-            self.active_sends -= 1
-            if self.active_sends == 0 and self._quiet_event is not None:
-                event, self._quiet_event = self._quiet_event, None
-                if not event.fired:
-                    event.fire(None)
-        return None
+                self.select_btl(card).send_msg(
+                    card, data, MSG_HEADER_BYTES + nbytes,
+                    lambda: self._send_done(req, "rndv_sent"),
+                )
+            except NetworkError as exc:
+                self._send_failed(req, exc)
+
+        self.pending_cts[msg_id] = post_data
+
+    def _send_done(self, req, counter: str) -> None:
+        """The send's last fragment is on the wire."""
+        self.stats[counter] += 1
+        req.complete_ok(None)
+        self._send_finished()
+
+    def _send_failed(self, req, exc: NetworkError) -> None:
+        req.complete_error(f"send failed: {exc}")
+        self._send_finished()
+
+    def _send_finished(self) -> None:
+        self.active_sends -= 1
+        if self.active_sends == 0 and self._quiet_event is not None:
+            event, self._quiet_event = self._quiet_event, None
+            if not event.fired:
+                event.fire(None)
 
     def select_btl(self, card: dict):
         my_node = self.ompi.proc.node.name
@@ -208,27 +201,19 @@ class Ob1PML(PMLComponent):
             req.complete_ok((msg.payload, Status(msg.src, msg.tag, msg.nbytes)))
         elif msg.kind == "rts":
             self.pending_rendezvous[msg.msg_id] = req.id
-            self._spawn_cts(msg)
+            self._post_cts(msg)
         else:  # pragma: no cover - matching engine filters kinds
             raise MPIError(f"matched {msg.kind} message")
 
-    def _spawn_cts(self, rts: MPIMsg) -> None:
+    def _post_cts(self, rts: MPIMsg) -> None:
         cts = MPIMsg(
             "cts", rts.cid, rts.dst, rts.src, rts.tag, rts.seq, 0, msg_id=rts.msg_id
         )
-
-        def sender() -> SimGen:
-            card = self.ompi.peer_card(rts.src_world)
-            try:
-                btl = self.select_btl(card)
-                yield from btl.send_msg(card, cts, MSG_HEADER_BYTES)
-            except NetworkError as exc:
-                log.warning("CTS to rank %d failed: %s", rts.src, exc)
-            return None
-
-        self.ompi.proc.spawn_thread(
-            sender(), name=f"ob1-cts-{rts.msg_id}", daemon=True
-        )
+        card = self.ompi.peer_card(rts.src_world)
+        try:
+            self.select_btl(card).send_msg(card, cts, MSG_HEADER_BYTES, None)
+        except NetworkError as exc:
+            log.warning("CTS to rank %d failed: %s", rts.src, exc)
 
     # ------------------------------------------------------------------
     # completion
@@ -280,11 +265,11 @@ class Ob1PML(PMLComponent):
                 self._consume_match(self.requests.get(recv.req_id), msg)
             elif self.drain_mode:
                 self.matching.draining.add(msg.msg_id)
-                self._spawn_cts(msg)
+                self._post_cts(msg)
         elif msg.kind == "cts":
-            event = self.pending_cts.pop(msg.msg_id, None)
-            if event is not None and not event.fired:
-                event.fire(None)
+            post_data = self.pending_cts.pop(msg.msg_id, None)
+            if post_data is not None:
+                post_data()
         elif msg.kind == "data":
             self._note_delivered(msg)
             req_id = self.pending_rendezvous.pop(msg.msg_id, None)
@@ -345,7 +330,7 @@ class Ob1PML(PMLComponent):
         self.drain_mode = True
         for rts in self.matching.pending_rts():
             self.matching.draining.add(rts.msg_id)
-            self._spawn_cts(rts)
+            self._post_cts(rts)
 
     def leave_drain(self) -> None:
         # Idempotent: the coordinator's abort path may run after the
@@ -353,7 +338,7 @@ class Ob1PML(PMLComponent):
         self.drain_mode = False
 
     def quiesce_sends(self) -> SimGen:
-        """Block until every in-flight send helper has finished."""
+        """Block until every posted send is on the wire (or failed)."""
         while self.active_sends > 0:
             if self._quiet_event is None:
                 self._quiet_event = self.ompi.kernel.event("ob1-quiet")

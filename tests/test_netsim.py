@@ -5,6 +5,7 @@ import pytest
 from repro.netsim.models import LinkModel, ethernet_1g, infiniband, loopback
 from repro.netsim.transport import Endpoint
 from repro.simenv.cluster import Cluster, ClusterSpec
+from repro.simenv.kernel import Delay
 from repro.util.errors import NetworkError
 from tests.conftest import run_gen
 
@@ -192,6 +193,118 @@ class TestFabric:
         nic_b = cluster.node("node01").nics["eth"]
         assert nic_a.tx_msgs == 1 and nic_a.tx_bytes == 123
         assert nic_b.rx_msgs == 1 and nic_b.rx_bytes == 123
+
+
+class TestInFlightMessages:
+    """What happens to a message between send and delivery: a sender
+    that dies before the message is on the wire loses it; once on the
+    wire it is delivered unless the destination is gone."""
+
+    BIG = 100_000_000  # ~0.8 s of serialization on eth
+
+    def _pair(self, cluster):
+        eth = cluster.eth
+        return eth, eth.bind("node00", "pA"), eth.bind("node01", "pB")
+
+    def test_sender_killed_before_on_wire_drops(self, cluster):
+        eth, a, b = self._pair(cluster)
+        kernel = cluster.kernel
+
+        def main():
+            yield from eth.send(a, b, "x", self.BIG)
+
+        thread = kernel.spawn(main(), "s")
+        kernel.call_at(1e-6, thread.kill)
+        kernel.run()
+        assert (eth.in_flight, eth.delivered, eth.dropped) == (0, 0, 1)
+        assert eth.pending(b) == 0
+
+    def test_posted_sender_dead_before_on_wire_drops(self, cluster):
+        eth, a, b = self._pair(cluster)
+        kernel = cluster.kernel
+        alive = [True]
+        on_wire = []
+        eth.post(a, b, "x", self.BIG, lambda: on_wire.append(kernel.now),
+                 lambda: alive[0])
+        assert eth.in_flight == 1
+        kernel.call_at(1e-6, lambda: alive.__setitem__(0, False))
+        kernel.run()
+        assert (eth.in_flight, eth.delivered, eth.dropped) == (0, 0, 1)
+        assert on_wire == [] and eth.pending(b) == 0
+
+    def test_sender_dead_after_on_wire_still_delivered(self, cluster):
+        eth, a, b = self._pair(cluster)
+        kernel = cluster.kernel
+        tx = eth.model.transmit_time(1000)
+        alive = [True]
+        on_wire = []
+        eth.post(a, b, "p", 1000, lambda: on_wire.append(kernel.now),
+                 lambda: alive[0])
+
+        def main():
+            yield from eth.send(a, b, "s", 1000)
+            yield Delay(1.0)  # killed here, after the message left
+
+        thread = kernel.spawn(main(), "s")
+        # Both messages are on the wire by 2*tx and land latency later.
+        kill_at = 2 * tx + eth.model.latency_s / 2
+        kernel.call_at(kill_at, thread.kill)
+        kernel.call_at(kill_at, lambda: alive.__setitem__(0, False))
+        kernel.run()
+        assert on_wire == [tx]
+        assert (eth.in_flight, eth.delivered, eth.dropped) == (0, 2, 0)
+        assert [eth.try_recv(b)[1].payload for _ in range(2)] == ["p", "s"]
+
+    def test_destination_node_death_drops(self, cluster):
+        eth, a, b = self._pair(cluster)
+        kernel = cluster.kernel
+        on_wire = []
+        eth.post(a, b, "x", 10_000, lambda: on_wire.append(kernel.now),
+                 lambda: True)
+        kernel.call_at(1e-6, cluster.node("node01").crash)
+        kernel.run()
+        # the sender lived: its message left, then found no one home
+        assert len(on_wire) == 1
+        assert (eth.in_flight, eth.delivered, eth.dropped) == (0, 0, 1)
+
+    def test_post_times_match_blocking_send(self):
+        """Same NIC queueing and the same float arithmetic: a posted and
+        a blocking send of one size are on the wire and delivered at
+        bit-identical times."""
+        times = {}
+        for mode in ("send", "post"):
+            cluster = Cluster(ClusterSpec(n_nodes=2))
+            eth, a, b = self._pair(cluster)
+            kernel = cluster.kernel
+            wire = []
+            for size in (1000, 65_537, 1 << 20):
+                if mode == "post":
+                    eth.post(a, b, size, size, lambda: wire.append(kernel.now),
+                             lambda: True)
+                else:
+                    def one(size=size):
+                        yield from eth.send(a, b, size, size)
+                        wire.append(kernel.now)
+
+                    kernel.spawn(one(), f"s{size}")
+
+            def drain():
+                got = []
+                for _ in range(3):
+                    yield from eth.recv(b)
+                    got.append(kernel.now)
+                return got
+
+            landed = run_gen(kernel, drain())
+            times[mode] = (wire, landed)
+        assert times["post"] == times["send"]
+
+    def test_post_from_down_node_raises(self, cluster):
+        eth, a, b = self._pair(cluster)
+        cluster.node("node00").crash()
+        with pytest.raises(NetworkError):
+            eth.post(a, b, "x", 10, None, lambda: True)
+        assert eth.in_flight == 0
 
 
 class TestClusterTopology:

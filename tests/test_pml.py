@@ -2,10 +2,12 @@
 selection, pre-init buffering."""
 
 import numpy as np
+import pytest
 
 from repro.apps.registry import _APPS
 from repro.mca.params import MCAParams
 from repro.tools.api import ompi_run
+from repro.util.errors import MPIError
 from tests.conftest import make_universe
 
 
@@ -247,3 +249,116 @@ class TestPreInitBuffering:
         define_app("t_preinit", main)
         job = ompi_run(universe, "t_preinit", 4)
         assert [job.results[r] for r in (1, 2, 3)] == [11, 22, 33]
+
+
+class TestThreadlessSends:
+    """Sends post their fragments from timer callbacks: no thread is
+    spawned per message, and the in-flight accounting that quiesce and
+    image capture rely on still covers every posted send."""
+
+    def _flood(self, n: int, size: int) -> int:
+        """Threads spawned by a 2-rank job in which rank 0 sends *n*
+        messages of *size* bytes to rank 1."""
+        universe = make_universe(2)
+
+        def main(ctx):
+            if ctx.rank == 0:
+                reqs = []
+                for _ in range(n):
+                    reqs.append((yield ctx.isend(b"m" * size, 1, 3)))
+                yield from ctx.waitall(reqs)
+            else:
+                for _ in range(n):
+                    yield from ctx.recv(0, 3)
+
+        define_app("t_flood", main)
+        job = ompi_run(universe, "t_flood", 2)
+        assert job.state.value == "finished"
+        return universe.kernel.stats.threads_spawned
+
+    @pytest.mark.parametrize("size", [100, 100_000], ids=["eager", "rendezvous"])
+    def test_threads_spawned_independent_of_message_count(self, size):
+        assert self._flood(40, size) == self._flood(20, size)
+
+    def test_quiesce_returns_when_last_posted_send_is_on_wire(self):
+        universe = make_universe(2)
+        seen = {}
+
+        def main(ctx):
+            if ctx.rank == 1:
+                for _ in range(3):
+                    yield from ctx.recv(0, 2)
+                return None
+            ompi = ctx._runner.ompi
+            pml = ompi.pml_base
+            reqs = []
+            for _ in range(3):
+                reqs.append((yield ctx.isend(b"q" * 60_000, 1, 2)))
+            btl = pml.select_btl(ompi.peer_card(1))
+            seen["posted_at"] = universe.kernel.now
+            # the NIC is reserved up to the moment the last byte leaves
+            seen["last_on_wire"] = ompi.proc.node.nics[btl.fabric_name]._tx_free_at
+            seen["active"] = pml.active_sends
+
+            def quiesce():
+                yield from pml.quiesce_sends()
+                seen["quiet_at"] = universe.kernel.now
+                seen["pending"] = len(pml.requests.pending_of_kind("send"))
+
+            ompi.proc.spawn_thread(quiesce(), name="quiesce")
+            yield from ctx.waitall(reqs)
+
+        define_app("t_quiesce", main)
+        job = ompi_run(universe, "t_quiesce", 2)
+        assert job.state.value == "finished"
+        assert seen["active"] == 3
+        assert seen["quiet_at"] == seen["last_on_wire"] > seen["posted_at"]
+        assert seen["pending"] == 0
+
+    @pytest.mark.parametrize("size", [1000, 100_000], ids=["eager", "rendezvous"])
+    def test_capture_refused_while_posted_send_active(self, size):
+        universe = make_universe(2)
+        seen = {}
+
+        def main(ctx):
+            if ctx.rank == 1:
+                yield from ctx.recv(0, 2)
+                return None
+            pml = ctx._runner.ompi.pml_base
+            req = yield ctx.isend(b"c" * size, 1, 2)
+            try:
+                pml.capture_state()
+            except MPIError as exc:
+                seen["refused"] = str(exc)
+            yield ctx.wait(req)
+            seen["captured"] = sorted(pml.capture_state())
+
+        define_app("t_capture", main)
+        job = ompi_run(universe, "t_capture", 2)
+        assert job.state.value == "finished"
+        assert "not quiesced (active=1" in seen["refused"]
+        assert "matching" in seen["captured"]
+
+    def test_sender_death_before_wire_loses_message(self):
+        """A rank killed while its eager fragment is still serializing
+        never delivers it, and the fabric's in-flight count drains."""
+        universe = make_universe(2)
+        seen = {}
+
+        def main(ctx):
+            pml = ctx._runner.ompi.pml_base
+            seen[ctx.rank] = pml
+            if ctx.rank == 0:
+                req = yield ctx.isend(b"d" * 60_000, 1, 2)
+                universe.kernel.call_later(1e-6, ctx._runner.proc.kill)
+                yield ctx.wait(req)
+            else:
+                yield from ctx.recv(0, 2)
+
+        define_app("t_sender_dies", main)
+        job = ompi_run(universe, "t_sender_dies", 2,
+                       params=MCAParams({"btl": "tcp"}))
+        assert job.state.value == "failed"
+        assert seen[0].stats["eager_sent"] == 0
+        assert seen[1].stats["delivered"] == 0
+        assert universe.cluster.eth.in_flight == 0
